@@ -20,7 +20,7 @@ use fg_service::{ForkGraphService, Query, ServiceConfig};
 use forkgraph_core::kernel::FppKernel;
 use forkgraph_core::kernels::SsspKernel;
 use forkgraph_core::operation::Priority;
-use forkgraph_core::{erase, EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{erase, EngineConfig, ForkGraphEngine};
 
 use crate::report::PerfReport;
 
@@ -124,35 +124,27 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
         measure(&format!("parallel{workers}"), EngineConfig::default().with_threads(workers));
     }
 
-    // Small-batch pool-vs-spawn overhead: the fg-service hot path runs one
-    // engine run per micro-batch, so per-run setup cost dominates exactly
-    // when batches are small. Measure a ≤4-query SSSP batch through (a) the
-    // per-run spawn executor and (b) one engine with a warm persistent
-    // pool. Pool mode must not be slower than spawn mode — the pool's whole
-    // point is amortising the spawn/join + allocation cost this workload is
-    // dominated by.
+    // Small-batch pool dispatch overhead: the fg-service hot path runs one
+    // engine run per micro-batch, so the pool's per-run cost (dispatch,
+    // mailbox routing, the termination protocol) weighs most exactly when
+    // batches are small. Measure a 4-query SSSP batch through (a) the serial
+    // loop and (b) one engine with a warm persistent pool of two workers.
     let small_sources: Vec<VertexId> = sources.iter().copied().take(4).collect();
-    let spawn_engine = ForkGraphEngine::new(
-        &pg,
-        EngineConfig::default().with_threads(2).with_executor(ExecutorMode::Spawn),
-    );
-    let small_spawn = best_qps(small_sources.len(), || {
-        spawn_engine.run_sssp(&small_sources);
+    let serial_engine = ForkGraphEngine::new(&pg, EngineConfig::default());
+    let small_serial = best_qps(small_sources.len(), || {
+        serial_engine.run_sssp(&small_sources);
     });
-    let pool_engine = ForkGraphEngine::new(
-        &pg,
-        EngineConfig::default().with_threads(2).with_executor(ExecutorMode::Pool),
-    );
+    let pool_engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(2));
     pool_engine.run_sssp(&small_sources); // warm the pool (spawns its threads)
     let small_pool = best_qps(small_sources.len(), || {
         pool_engine.run_sssp(&small_sources);
     });
-    report.push("sssp_small4_spawn_qps", small_spawn);
+    report.push("sssp_small4_serial_qps", small_serial);
     report.push("sssp_small4_pool_qps", small_pool);
-    report.push("small4_pool_vs_spawn", small_pool / small_spawn);
+    report.push("small4_pool_vs_serial", small_pool / small_serial);
     table.push_row([
-        "small-batch (4q, 2w) spawn".to_string(),
-        format!("{small_spawn:.1}"),
+        "small-batch (4q) serial".to_string(),
+        format!("{small_serial:.1}"),
         "-".to_string(),
     ]);
     table.push_row([
@@ -160,12 +152,6 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
         format!("{small_pool:.1}"),
         "-".to_string(),
     ]);
-    if small_pool < small_spawn * 0.95 {
-        eprintln!(
-            "[smoke] WARNING: small-batch pool throughput {small_pool:.1} qps below spawn \
-             {small_spawn:.1} qps — the persistent pool is losing to per-run thread spawning"
-        );
-    }
 
     // Erasure-layer overhead: the open kernel registry dispatches through
     // `run_dyn` (one virtual call in, one Arc per query state out) instead
@@ -317,7 +303,7 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
         store.insert_edge(u, v, 1).expect("endpoints in range");
         inserted += 1;
     }
-    let applied = store.quiesce().expect("a pending batch");
+    let applied = store.advance().expect("a pending batch");
     assert!(applied.monotone, "weight-1 insertions can never be an increase");
     let prev = direct_engine.run_sssp(&sources).per_query;
     let delta_engine = ForkGraphEngine::new(&applied.graph, EngineConfig::default());
@@ -468,7 +454,7 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
             frac_store.insert_edge(u, v, 1).expect("in range");
         }
     }
-    let localized = frac_store.quiesce().expect("a pending localized burst");
+    let localized = frac_store.advance().expect("a pending localized burst");
     let slots = localized.partitions_rematerialized + localized.partitions_shared;
     let dirty_frac = localized.partitions_rematerialized as f64 / slots as f64;
     report.push("dirty_rematerialize_frac", dirty_frac);
@@ -721,9 +707,9 @@ mod tests {
                 );
             }
         }
-        assert!(outcome.report.get("sssp_small4_spawn_qps").unwrap() > 0.0);
+        assert!(outcome.report.get("sssp_small4_serial_qps").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_small4_pool_qps").unwrap() > 0.0);
-        assert!(outcome.report.get("small4_pool_vs_spawn").unwrap() > 0.0);
+        assert!(outcome.report.get("small4_pool_vs_serial").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_dyn_qps").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_dyn_vs_direct").unwrap() > 0.0);
         assert!(outcome.report.get("custom_khop_qps").unwrap() > 0.0);

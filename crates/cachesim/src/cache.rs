@@ -1,7 +1,6 @@
 //! Set-associative LRU cache model.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Whether an access reads or writes the line. The distinction only matters for
@@ -15,7 +14,7 @@ pub enum AccessKind {
 }
 
 /// Geometry of the simulated cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -64,7 +63,7 @@ impl Default for CacheConfig {
 }
 
 /// Counters accumulated by the simulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses observed.
     pub accesses: u64,

@@ -6,12 +6,10 @@
 //! miss costs [`StallModel::miss_cycles`] (a DRAM access). Cycles beyond the
 //! hit cost are counted as stalled.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheStats;
 
 /// Latency parameters of the stall model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StallModel {
     /// Cycles for an access served by the LLC.
     pub hit_cycles: u64,
@@ -28,7 +26,7 @@ impl Default for StallModel {
 }
 
 /// Result of applying a [`StallModel`] to a set of cache counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
     /// Cycles spent in memory units that were unavoidable (hit latency for
     /// every access).

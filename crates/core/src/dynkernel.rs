@@ -14,7 +14,7 @@
 //!   back the per-query states as [`ErasedState`]s.
 //! * [`erase`] wraps any concrete [`FppKernel`] into an `Arc<dyn DynKernel>`.
 //!   The wrapper calls [`ForkGraphEngine::run`] with the *concrete* kernel,
-//!   so the entire execution path — serial loop, spawn executor, persistent
+//!   so the entire execution path — serial loop, persistent
 //!   [`pool::WorkerPool`](crate::pool::WorkerPool) with its `TypeId`-keyed
 //!   recycle arena — is the monomorphized code the direct API uses. Erasure
 //!   happens only at the two edges of a run: one virtual call going in, one
@@ -69,7 +69,7 @@ pub trait DynKernel: Send + Sync {
     /// Run one batch (one query per source) through `engine`, returning the
     /// per-query final states type-erased. Equivalent to
     /// [`ForkGraphEngine::run`] with the concrete kernel — same executor
-    /// dispatch (serial / spawn / pool), same results — followed by one
+    /// dispatch (serial loop / pool), same results — followed by one
     /// `Arc::new` per state.
     fn run_erased(
         &self,
@@ -291,13 +291,13 @@ mod tests {
     use fg_graph::partitioned::PartitionedGraph;
     use fg_graph::{gen, CsrGraph, Dist};
 
-    use crate::engine::{EngineConfig, ExecutorMode};
+    use crate::engine::EngineConfig;
     use crate::kernels::SsspKernel;
     use crate::operation::Priority;
 
     /// A kernel that exists only in this test module: hop counts capped at a
-    /// fixed radius. Monotone (min-relaxation on hop count), so every
-    /// executor mode reaches the same fixpoint byte-identically.
+    /// fixed radius. Monotone (min-relaxation on hop count), so serial and
+    /// parallel runs reach the same fixpoint byte-identically.
     struct RadiusKernel {
         radius: u32,
     }
@@ -385,29 +385,21 @@ mod tests {
     }
 
     #[test]
-    fn custom_erased_kernel_is_identical_across_executor_modes() {
+    fn custom_erased_kernel_is_identical_serial_and_pooled() {
         let (_, pg) = partitioned(8);
         let sources = [0u32, 3, 77, 140];
         let kernel = erase(RadiusKernel { radius: 4 });
-        let serial =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_executor(ExecutorMode::Serial))
-                .run_dyn(&*kernel, &sources);
-        for mode in [ExecutorMode::Spawn, ExecutorMode::Pool] {
-            let config = EngineConfig::default().with_threads(3).with_executor(mode);
-            let engine = ForkGraphEngine::new(&pg, config);
-            let parallel = engine.run_dyn(&*kernel, &sources);
-            for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
-                assert_eq!(
-                    a.downcast_ref::<Vec<u32>>().unwrap(),
-                    b.downcast_ref::<Vec<u32>>().unwrap(),
-                    "{mode:?}"
-                );
-            }
-            if mode == ExecutorMode::Pool {
-                let pool = engine.worker_pool().expect("pool-mode run created a pool");
-                assert!(pool.metrics().dispatches >= 1, "custom kernel ran through the pool");
-            }
+        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
+        let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(3));
+        let parallel = engine.run_dyn(&*kernel, &sources);
+        for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
+            assert_eq!(
+                a.downcast_ref::<Vec<u32>>().unwrap(),
+                b.downcast_ref::<Vec<u32>>().unwrap()
+            );
         }
+        let pool = engine.worker_pool().expect("parallel run created a pool");
+        assert!(pool.metrics().dispatches >= 1, "custom kernel ran through the pool");
     }
 
     #[test]

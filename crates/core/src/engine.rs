@@ -74,57 +74,6 @@ impl AblationLevel {
     }
 }
 
-/// How a multi-threaded engine run gets its worker threads.
-///
-/// The default is resolved once per process from the `FORKGRAPH_EXECUTOR`
-/// environment variable (`serial` | `spawn` | `pool`, anything else or unset
-/// meaning `pool`) so CI can run the whole test suite under each mode; an
-/// explicit [`EngineConfig::with_executor`] always wins over the
-/// environment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// Force the paper's serial partition-at-a-time loop even when
-    /// `num_threads > 1` (the ablation/debug escape hatch).
-    Serial,
-    /// PR 2's behaviour: spawn and join scoped worker threads per run.
-    Spawn,
-    /// Dispatch runs onto a persistent [`crate::pool::WorkerPool`]; threads
-    /// are spawned once and per-run allocations are recycled.
-    Pool,
-}
-
-impl ExecutorMode {
-    /// The process-wide default mode, from `FORKGRAPH_EXECUTOR` (cached on
-    /// first use).
-    pub fn from_env() -> ExecutorMode {
-        static MODE: std::sync::OnceLock<ExecutorMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("FORKGRAPH_EXECUTOR") {
-            Ok(value) => match value.as_str() {
-                "serial" => ExecutorMode::Serial,
-                "spawn" => ExecutorMode::Spawn,
-                "pool" => ExecutorMode::Pool,
-                other => {
-                    eprintln!(
-                        "[forkgraph] unknown FORKGRAPH_EXECUTOR value {other:?} \
-                         (expected serial|spawn|pool); defaulting to pool"
-                    );
-                    ExecutorMode::Pool
-                }
-            },
-            Err(_) => ExecutorMode::Pool,
-        })
-    }
-
-    /// Human-readable name (matches the accepted env-var values).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutorMode::Serial => "serial",
-            ExecutorMode::Spawn => "spawn",
-            ExecutorMode::Pool => "pool",
-        }
-    }
-}
-
 /// Configuration of a [`ForkGraphEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -142,14 +91,11 @@ pub struct EngineConfig {
     /// Simulated LLC geometry; `None` disables cache simulation.
     pub cache: Option<CacheConfig>,
     /// Worker threads for the inter-partition parallel executor
-    /// ([`crate::executor`]). `1` (the default) keeps the paper's serial
-    /// partition-at-a-time loop; values above one process disjoint partitions
-    /// concurrently. `0` means "one worker per available CPU".
+    /// ([`crate::executor`]), which runs on a persistent
+    /// [`crate::pool::WorkerPool`]. `1` (the default) keeps the paper's
+    /// serial partition-at-a-time loop; values above one process disjoint
+    /// partitions concurrently. `0` means "one worker per available CPU".
     pub num_threads: usize,
-    /// How parallel runs get their worker threads. `None` (the default)
-    /// resolves to [`ExecutorMode::from_env`] — or to [`ExecutorMode::Pool`]
-    /// when a pool was attached with [`ForkGraphEngine::with_pool`].
-    pub executor: Option<ExecutorMode>,
     /// Attach a [`RunProfile`] (per-phase wall time, visit/steal histograms)
     /// to each run result. Independent of event tracing — profiles are
     /// computed from counters the run keeps anyway, so they work with no
@@ -168,7 +114,6 @@ impl Default for EngineConfig {
             consolidation_method: ConsolidationMethod::Sort,
             cache: None,
             num_threads: 1,
-            executor: None,
             profile: false,
         }
     }
@@ -226,12 +171,6 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the executor mode, overriding the `FORKGRAPH_EXECUTOR` default.
-    pub fn with_executor(mut self, executor: ExecutorMode) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
     /// Attach a [`RunProfile`] to each run result (see
     /// [`EngineConfig::profile`]).
     pub fn with_profile(mut self, profile: bool) -> Self {
@@ -246,14 +185,6 @@ impl EngineConfig {
         } else {
             self.num_threads
         }
-    }
-
-    /// The executor mode this configuration resolves to: the explicit
-    /// setting if any, else the process-wide environment default. (An
-    /// engine with an attached pool additionally prefers `Pool` — see
-    /// [`ForkGraphEngine::run`].)
-    pub fn resolved_executor(&self) -> ExecutorMode {
-        self.executor.unwrap_or_else(ExecutorMode::from_env)
     }
 }
 
@@ -458,9 +389,9 @@ pub struct VisitOutcome<V> {
 pub struct ForkGraphEngine<'g> {
     pg: &'g PartitionedGraph,
     config: EngineConfig,
-    /// The persistent worker pool for pool-mode parallel runs: pre-filled by
+    /// The persistent worker pool for parallel runs: pre-filled by
     /// [`Self::with_pool`] (a crew shared across engines, e.g. fg-service's),
-    /// or lazily created — once — on the first pool-mode parallel run.
+    /// or lazily created — once — on the first parallel run.
     pool: OnceLock<Arc<WorkerPool>>,
     /// Structured-event sink; `None` (the default) costs one predictable
     /// branch per instrumentation site.
@@ -473,7 +404,7 @@ impl<'g> ForkGraphEngine<'g> {
         ForkGraphEngine { pg, config, pool: OnceLock::new(), trace: None }
     }
 
-    /// Create an engine that runs pool-mode parallel batches on an existing
+    /// Create an engine that runs parallel batches on an existing
     /// shared [`WorkerPool`] instead of lazily creating its own. This is how
     /// a serving layer amortises one thread crew across many short-lived
     /// engines (one per micro-batch) with varying worker counts.
@@ -546,7 +477,7 @@ impl<'g> ForkGraphEngine<'g> {
         &self.config
     }
 
-    /// The worker pool this engine dispatches pool-mode runs to, if one has
+    /// The worker pool this engine dispatches parallel runs to, if one has
     /// been attached or lazily created yet.
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.get()
@@ -573,38 +504,26 @@ impl<'g> ForkGraphEngine<'g> {
 
     /// The run pipeline shared by every entry point: [`Self::run`] drives a
     /// monomorphized [`SingleDriver`], [`Self::run_multi`] a heterogeneous
-    /// [`crate::multi::MultiDriver`]. Picks serial / spawn / pool execution
-    /// exactly as before the driver seam existed.
+    /// [`crate::multi::MultiDriver`]. A run with more than one worker, more
+    /// than one partition and at least one source goes to the persistent
+    /// [`WorkerPool`]; every other run takes the serial loop.
     pub(crate) fn run_driver<D: KernelDriver>(
         &self,
         driver: &D,
         sources: &[VertexId],
     ) -> ForkGraphRunResult<D::State> {
         let workers = self.config.resolved_threads();
-        // Mode precedence: explicit config > attached pool > environment.
-        let mode = match self.config.executor {
-            Some(mode) => mode,
-            None if self.pool.get().is_some() => ExecutorMode::Pool,
-            None => ExecutorMode::from_env(),
-        };
-        if mode != ExecutorMode::Serial
-            && workers > 1
-            && self.pg.num_partitions() > 1
-            && !sources.is_empty()
-        {
-            let pool = match mode {
-                ExecutorMode::Pool => Some(self.pool.get_or_init(|| {
-                    let pool = Arc::new(WorkerPool::new(crate::pool::crew_size(
-                        workers,
-                        self.pg.num_partitions(),
-                    )));
-                    if let Some(trace) = &self.trace {
-                        pool.attach_trace(Arc::clone(trace));
-                    }
-                    pool
-                })),
-                _ => None,
-            };
+        if workers > 1 && self.pg.num_partitions() > 1 && !sources.is_empty() {
+            let pool = self.pool.get_or_init(|| {
+                let pool = Arc::new(WorkerPool::new(crate::pool::crew_size(
+                    workers,
+                    self.pg.num_partitions(),
+                )));
+                if let Some(trace) = &self.trace {
+                    pool.attach_trace(Arc::clone(trace));
+                }
+                pool
+            });
             return crate::executor::run_parallel(self, driver, sources, workers, pool);
         }
         let graph = self.pg.graph();
@@ -849,7 +768,6 @@ impl<'g> ForkGraphEngine<'g> {
             }
 
             let vertex = op.vertex;
-            let mut emitted_local = 0usize;
             let edges =
                 kernel.process(&view, state, vertex, op.value, &mut |t, value, priority| {
                     let new_op = Operation::new(query, t, value, priority);
@@ -860,7 +778,6 @@ impl<'g> ForkGraphEngine<'g> {
                         } else {
                             fifo.push_back(new_op);
                         }
-                        emitted_local += 1;
                     } else {
                         remote.push((target_partition, new_op));
                     }
@@ -868,7 +785,6 @@ impl<'g> ForkGraphEngine<'g> {
             counters.add_operations(1);
             counters.add_edges(edges);
             checker.record_edges(edges);
-            let _ = emitted_local;
 
             if tracer.is_enabled() {
                 if edges > 0 {
@@ -905,7 +821,7 @@ impl<'g> ForkGraphEngine<'g> {
     ///
     /// This is [`Self::run`] behind one virtual call: the erasure wrapper
     /// invokes `run` with its concrete kernel, so executor dispatch (serial
-    /// loop / spawned crew / persistent pool), scheduling, yielding, and the
+    /// loop / persistent pool), scheduling, yielding, and the
     /// pool's `TypeId`-keyed storage recycling all behave exactly as a
     /// direct generic call would. Only the returned per-query states are
     /// boxed ([`crate::dynkernel::ErasedState`]).
@@ -932,7 +848,7 @@ impl<'g> ForkGraphEngine<'g> {
     /// picked per run by the narrowest width every group fits),
     /// scheduling and yielding see the union of all groups, and each
     /// partition visit dispatches every operation to its group's kernel. All
-    /// executor modes (serial / spawn / pool) work unchanged.
+    /// thread counts (serial loop / pool) work unchanged.
     ///
     /// A single-group call is semantically [`Self::run_dyn`] (byte-identical
     /// results — property-tested in `tests/multi_equivalence.rs`), just
@@ -959,7 +875,7 @@ impl<'g> ForkGraphEngine<'g> {
     /// delta edge that can still improve something
     /// ([`IncrementalKernel::delta_seed`]); the run then converges to the
     /// exact post-delta fixpoint, byte-identical to a from-scratch run,
-    /// under every executor mode.
+    /// serially and on the pool.
     ///
     /// Deletions and weight increases violate the precondition — callers
     /// must detect them (e.g. via `fg_graph::mutation::AppliedDeltas::

@@ -33,14 +33,9 @@
 //!   Leftover/remote operations are re-posted *before* the visit's drain is
 //!   subtracted, so the counter reaches zero exactly when every mailbox is
 //!   empty and no visit is in progress; the pool then quiesces.
-//!
-//! * **Worker threads** — a run's crew comes either from per-run scoped
-//!   spawns ([`crate::engine::ExecutorMode::Spawn`], PR 2's behaviour) or,
-//!   by default, from a persistent [`crate::pool::WorkerPool`] that parks
-//!   its threads between runs and recycles the per-run mailbox/queue/scratch
-//!   allocations ([`crate::engine::ExecutorMode::Pool`]). The run-local
-//!   state below is identical in both modes; only the thread lifetime and
-//!   allocation provenance differ.
+//! * **Worker threads** — a run's crew is a persistent
+//!   [`crate::pool::WorkerPool`] that parks its threads between runs and
+//!   recycles the per-run mailbox/queue/scratch allocations.
 //!
 //! Inside a visit a worker processes its partition's query groups
 //! *sequentially* (no nested intra-partition parallelism): with many
@@ -68,7 +63,6 @@
 //! equivalence there is the ACL approximation guarantee, not bitwise equality.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -177,8 +171,8 @@ impl<V: Copy> Mailbox<V> {
 }
 
 /// Shared state of one parallel run. (One instance per `run` call; the
-/// *threads* that drive it come either from per-run scoped spawns or from a
-/// persistent [`crate::pool::WorkerPool`] — see [`run_parallel`].)
+/// *threads* that drive it come from a persistent
+/// [`crate::pool::WorkerPool`] — see [`run_parallel`].)
 struct RunState<'e, 'g, D: KernelDriver> {
     engine: &'e ForkGraphEngine<'g>,
     driver: &'e D,
@@ -405,8 +399,7 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
     }
 
     /// One worker's drive of the run to quiescence. `scratch` is the
-    /// worker's consolidation buffer: spawn mode builds one per run, pool
-    /// mode hands in the thread's recycled buffer from its
+    /// worker's consolidation buffer, recycled across runs in its
     /// [`crate::pool::WorkerSlot`].
     fn worker_loop(
         &self,
@@ -441,8 +434,8 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
     }
 }
 
-/// Seed used by worker `w` for its scheduling RNG; identical in spawn and
-/// pool mode so the Random policy draws the same per-worker sequences.
+/// Seed used by worker `w` for its scheduling RNG, so the Random policy
+/// draws the same per-worker sequences in every run.
 fn worker_seed(policy_seed: u64, w: usize) -> u64 {
     policy_seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -451,17 +444,14 @@ fn worker_seed(policy_seed: u64, w: usize) -> u64 {
 /// Called by [`ForkGraphEngine::run`] when `config.num_threads > 1`; result-
 /// equivalent to the serial loop (see the module docs for the PPR caveat).
 ///
-/// With `pool = None` (spawn mode) the run spawns and joins scoped worker
-/// threads and builds its mailboxes/queues/scratch fresh — PR 2's behaviour,
-/// kept for the executor-mode test matrix and as the bench baseline. With a
-/// [`WorkerPool`] the run is dispatched onto the persistent crew and its
-/// per-run storage is recycled through the pool's arena.
+/// The run is dispatched onto the persistent `pool` crew and its per-run
+/// storage is recycled through the pool's arena.
 pub(crate) fn run_parallel<D: KernelDriver>(
     engine: &ForkGraphEngine<'_>,
     driver: &D,
     sources: &[VertexId],
     num_workers: usize,
-    pool: Option<&Arc<WorkerPool>>,
+    pool: &WorkerPool,
 ) -> ForkGraphRunResult<D::State> {
     let pg = engine.partitioned_graph();
     let config = *engine.config();
@@ -481,13 +471,7 @@ pub(crate) fn run_parallel<D: KernelDriver>(
         SchedulingPolicy::Random { seed } => seed,
         _ => 0,
     };
-    let (mailboxes, queues) = match pool {
-        Some(pool) => pool.take_run_storage::<D::Value>(num_partitions, num_workers),
-        None => (
-            (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
-            (0..num_workers).map(|_| Mutex::new(Vec::new())).collect(),
-        ),
-    };
+    let (mailboxes, queues) = pool.take_run_storage::<D::Value>(num_partitions, num_workers);
     let run: RunState<'_, '_, D> = RunState {
         engine,
         driver,
@@ -523,43 +507,22 @@ pub(crate) fn run_parallel<D: KernelDriver>(
     }
     let init_done = watch.elapsed();
 
-    let mut worker_stats: Vec<WorkerSnapshot> = match pool {
-        Some(pool) => {
-            let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
-            let run_ref = &run;
-            let pool_counters = pool.counters();
-            let job = |w: usize, slot: &mut WorkerSlot| {
-                let scratch = slot.scratch_buffer::<D::Value>(config.num_buckets, pool_counters);
-                let stats = run_ref.worker_loop(w, worker_seed(policy_seed, w), scratch);
-                snapshots.lock().push(stats);
-            };
-            pool.dispatch(num_workers, &job);
-            snapshots.into_inner()
-        }
-        None => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_workers)
-                .map(|w| {
-                    let run = &run;
-                    let seed = worker_seed(policy_seed, w);
-                    scope.spawn(move || {
-                        let mut scratch: PartitionBuffer<D::Value> =
-                            PartitionBuffer::new(run.engine.config().num_buckets);
-                        run.worker_loop(w, seed, &mut scratch)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("executor worker panicked")).collect()
-        }),
+    let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
+    let pool_counters = pool.counters();
+    let job = |w: usize, slot: &mut WorkerSlot| {
+        let scratch = slot.scratch_buffer::<D::Value>(config.num_buckets, pool_counters);
+        let stats = run.worker_loop(w, worker_seed(policy_seed, w), scratch);
+        snapshots.lock().push(stats);
     };
+    pool.dispatch(num_workers, &job);
+    let mut worker_stats = snapshots.into_inner();
     worker_stats.sort_by_key(|s| s.worker);
     let main_done = watch.elapsed();
 
     debug_assert_eq!(run.in_flight.load(Ordering::SeqCst), 0, "run quiesced with ops in flight");
     counters.add_queries_completed(num_queries as u64);
     let RunState { mailboxes, states, queues, .. } = run;
-    if let Some(pool) = pool {
-        pool.store_run_storage(mailboxes, queues);
-    }
+    pool.store_run_storage(mailboxes, queues);
     let per_query: Vec<D::State> = states.into_iter().map(|m| m.into_inner()).collect();
     let mut measurement =
         engine.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
@@ -621,20 +584,16 @@ mod tests {
 
     #[test]
     fn parallel_run_reports_per_worker_stats() {
-        // Pinned modes (not the env default): this test *requires* parallel
-        // execution, so it must hold on the serial leg of the CI matrix too.
-        for mode in [crate::ExecutorMode::Spawn, crate::ExecutorMode::Pool] {
-            let (_, pg) = partitioned(8);
-            let config = EngineConfig::default().with_threads(3).with_executor(mode);
-            let result = ForkGraphEngine::new(&pg, config).run_bfs(&[0, 5, 9, 100]);
-            let work = result.work();
-            assert_eq!(work.workers.len(), 3, "{mode:?}");
-            let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
-            assert_eq!(visits, work.partition_visits, "{mode:?}");
-            // Every posted (buffered) operation is drained by exactly one visit.
-            let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
-            assert_eq!(ops, work.operations_buffered, "{mode:?}");
-        }
+        let (_, pg) = partitioned(8);
+        let config = EngineConfig::default().with_threads(3);
+        let result = ForkGraphEngine::new(&pg, config).run_bfs(&[0, 5, 9, 100]);
+        let work = result.work();
+        assert_eq!(work.workers.len(), 3);
+        let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
+        assert_eq!(visits, work.partition_visits);
+        // Every posted (buffered) operation is drained by exactly one visit.
+        let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
+        assert_eq!(ops, work.operations_buffered);
     }
 
     #[test]

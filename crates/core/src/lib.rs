@@ -27,10 +27,8 @@
 //!    own set drains), routes remote operations through sharded, lock-striped
 //!    mailboxes, and quiesces via an ops-in-flight counter. Serial mode stays
 //!    the default for ablation parity. The crew's threads come from a
-//!    persistent [`pool::WorkerPool`] by default (spawned once, parked
-//!    between runs, per-run storage recycled); per-run scoped spawning
-//!    remains available as [`engine::ExecutorMode::Spawn`].
-//!
+//!    persistent [`pool::WorkerPool`] (spawned once, parked between runs,
+//!    per-run storage recycled).
 //! 6. [`engine::ForkGraphEngine::run_multi`] generalises a run to a
 //!    **heterogeneous** set of kernel groups: mixed-kernel operations share
 //!    the partition buffers and mailboxes as inline type-erased
@@ -63,7 +61,7 @@ pub mod yield_policy;
 
 pub use buffer::PartitionBuffer;
 pub use dynkernel::{erase, DynKernel, ErasedState, MultiHooks, MultiKernelHooks};
-pub use engine::{AblationLevel, EngineConfig, ExecutorMode, ForkGraphEngine, ForkGraphRunResult};
+pub use engine::{AblationLevel, EngineConfig, ForkGraphEngine, ForkGraphRunResult};
 pub use kernel::{FppKernel, IncrementalKernel};
 pub use multi::MultiRunResult;
 pub use operation::{ErasedPayload, MultiValue16, MultiValue8, Operation, Priority};

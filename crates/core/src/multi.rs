@@ -296,7 +296,7 @@ mod tests {
     use fg_graph::{gen, Dist};
 
     use crate::dynkernel::erase;
-    use crate::engine::{EngineConfig, ExecutorMode};
+    use crate::engine::EngineConfig;
     use crate::kernels::{BfsKernel, SsspKernel};
 
     fn partitioned(parts: usize) -> PartitionedGraph {
@@ -310,8 +310,7 @@ mod tests {
     #[test]
     fn two_group_run_matches_solo_runs() {
         let pg = partitioned(5);
-        let engine =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_executor(ExecutorMode::Serial));
+        let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
         let sssp = erase(SsspKernel);
         let bfs = erase(BfsKernel);
         let sssp_sources = [0u32, 17, 140];
@@ -357,8 +356,7 @@ mod tests {
     #[test]
     fn empty_and_single_group_edge_cases() {
         let pg = partitioned(3);
-        let engine =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_executor(ExecutorMode::Serial));
+        let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
         let empty = engine.run_multi(&[]);
         assert_eq!(empty.num_groups(), 0);
 

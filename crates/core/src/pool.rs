@@ -1,10 +1,10 @@
 //! A persistent worker pool for the inter-partition parallel executor.
 //!
-//! PR 2's executor spawned and joined scoped threads *per engine run* —
-//! fine for one-shot batch reproduction, but on the fg-service hot path
-//! (one run per micro-batch) the spawn/join cycle plus per-run
-//! mailbox/queue/scratch allocation is exactly the small-batch tail-latency
-//! cost the ROADMAP flags. A [`WorkerPool`] amortises both:
+//! Spawning and joining scoped threads *per engine run* is fine for one-shot
+//! batch reproduction, but on the fg-service hot path (one run per
+//! micro-batch) the spawn/join cycle plus per-run mailbox/queue/scratch
+//! allocation is exactly the small-batch tail-latency cost to avoid. A
+//! [`WorkerPool`] amortises both:
 //!
 //! * **Threads are spawned once** (plus on-demand growth when a run asks for
 //!   more workers than the pool has) and parked on a condvar between runs.
@@ -229,8 +229,8 @@ impl WorkerPool {
 
     /// Run `job` on workers `0..active`, blocking until every one of them
     /// has executed it. Panics (after the run fully settles) if any worker's
-    /// job invocation panicked, mirroring the spawn-mode `join().expect(..)`
-    /// behaviour; the pool itself survives and stays dispatchable.
+    /// job invocation panicked, as a scoped thread's `join().expect(..)`
+    /// would; the pool itself survives and stays dispatchable.
     pub(crate) fn dispatch(&self, active: usize, job: &(dyn Fn(usize, &mut WorkerSlot) + Sync)) {
         assert!(active > 0, "dispatch needs at least one worker");
         self.ensure_capacity(active);

@@ -13,7 +13,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use fg_graph::partition::PartitionId;
 
@@ -77,7 +76,7 @@ pub fn select_by_policy(
 }
 
 /// Inter-partition scheduling policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulingPolicy {
     /// Pick an arbitrary non-empty partition.
     Random {

@@ -14,12 +14,10 @@
 //!    (priority) exceeds the first processed value by more than Δ, the
 //!    Δ-stepping-inspired heuristic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::operation::Priority;
 
 /// When to early-terminate a query inside a partition.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum YieldPolicy {
     /// Never yield: drain the query's operations in the partition completely.
     None,

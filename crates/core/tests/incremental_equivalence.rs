@@ -4,7 +4,7 @@
 //! batch (insertions and weight decreases), resuming converged SSSP/BFS
 //! states from the delta frontier via `run_incremental` is **byte-identical**
 //! to a from-scratch run on the post-mutation graph — under the serial loop
-//! and the spawn/pool parallel executors alike. Non-monotone batches
+//! and the pooled parallel executor alike. Non-monotone batches
 //! (deletions, weight increases) are flagged by
 //! [`fg_graph::mutation::AppliedDeltas::monotone`] so callers take the
 //! full-re-run fallback; that classification and the fallback's correctness
@@ -21,13 +21,12 @@ use fg_graph::mutation::VersionedGraph;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, GraphBuilder, VertexId};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const CASES: u64 = 6;
 
-/// `(mode, workers)` sweeps covering all three executors.
-const EXECUTORS: [(ExecutorMode, usize); 3] =
-    [(ExecutorMode::Serial, 1), (ExecutorMode::Spawn, 4), (ExecutorMode::Pool, 4)];
+/// Worker counts swept: the serial loop and a four-worker pool.
+const THREADS: [usize; 2] = [1, 4];
 
 fn arb_graph(rng: &mut SmallRng) -> CsrGraph {
     let n = rng.gen_range(60usize..200);
@@ -91,20 +90,20 @@ fn incremental_sssp_after_insertions_is_byte_identical_across_executors() {
 
         let vg = VersionedGraph::new(Arc::clone(&pg0));
         log_monotone_batch(&mut rng, &vg);
-        let applied = vg.quiesce().expect("batch logged");
+        let applied = vg.advance().expect("batch logged");
         assert!(applied.monotone, "case {case}: insert/decrease batch must classify monotone");
 
         let scratch =
             ForkGraphEngine::new(&applied.graph, EngineConfig::default()).run_sssp(&sources);
 
-        for (mode, workers) in EXECUTORS {
-            let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+        for workers in THREADS {
+            let config = EngineConfig::default().with_threads(workers);
             let engine = ForkGraphEngine::new(&applied.graph, config);
             let incremental =
                 engine.run_sssp_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
             assert_eq!(
                 incremental.per_query, scratch.per_query,
-                "case {case} executor {mode:?}×{workers}: incremental != from-scratch"
+                "case {case} threads={workers}: incremental != from-scratch"
             );
         }
 
@@ -129,21 +128,18 @@ fn incremental_bfs_after_insertions_is_byte_identical_across_executors() {
 
         let vg = VersionedGraph::new(Arc::clone(&pg0));
         log_monotone_batch(&mut rng, &vg);
-        let applied = vg.quiesce().expect("batch logged");
+        let applied = vg.advance().expect("batch logged");
         assert!(applied.monotone);
 
         let scratch =
             ForkGraphEngine::new(&applied.graph, EngineConfig::default()).run_bfs(&sources);
 
-        for (mode, workers) in EXECUTORS {
-            let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+        for workers in THREADS {
+            let config = EngineConfig::default().with_threads(workers);
             let engine = ForkGraphEngine::new(&applied.graph, config);
             let incremental =
                 engine.run_bfs_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
-            assert_eq!(
-                incremental.per_query, scratch.per_query,
-                "case {case} executor {mode:?}×{workers}"
-            );
+            assert_eq!(incremental.per_query, scratch.per_query, "case {case} threads={workers}");
         }
     }
 }
@@ -172,7 +168,7 @@ fn deletions_classify_non_monotone_and_full_rerun_fallback_is_correct() {
         if u != v {
             let _ = vg.insert_edge(u, v, 3);
         }
-        let applied = vg.quiesce().expect("batch logged");
+        let applied = vg.advance().expect("batch logged");
         assert!(!applied.monotone, "case {case}: a deletion must force the fallback");
 
         // The fallback: a plain from-scratch run on the new snapshot.
@@ -207,23 +203,23 @@ fn zero_seed_incremental_run_short_circuits_under_parallel_executors() {
 
     let vg = VersionedGraph::new(Arc::clone(&pg0));
     vg.insert_edge(11, 13, 2).unwrap();
-    let applied = vg.quiesce().unwrap();
+    let applied = vg.advance().unwrap();
     assert!(applied.monotone);
     assert_eq!(applied.seed_edges, vec![(11, 13, 2)]);
 
-    for (mode, workers) in EXECUTORS {
-        let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+    for workers in THREADS {
+        let config = EngineConfig::default().with_threads(workers);
         let engine = ForkGraphEngine::new(&applied.graph, config);
         let incremental =
             engine.run_sssp_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
         assert_eq!(
             incremental.per_query, prev.per_query,
-            "executor {mode:?}×{workers}: unreachable delta must leave states untouched"
+            "threads={workers}: unreachable delta must leave states untouched"
         );
     }
 }
 
-/// Accumulated monotone batches: apply several quiesce rounds in sequence,
+/// Accumulated monotone batches: apply several advance rounds in sequence,
 /// restarting incrementally from each round's result. Stale-but-dominated
 /// seeds must be pruned, keeping every round exact.
 #[test]
@@ -237,9 +233,9 @@ fn chained_monotone_batches_stay_exact() {
     let mut prev = ForkGraphEngine::new(&pg0, EngineConfig::default()).run_sssp(&sources).per_query;
     for round in 0..4 {
         log_monotone_batch(&mut rng, &vg);
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(applied.monotone);
-        let config = EngineConfig::default().with_executor(ExecutorMode::Pool).with_threads(4);
+        let config = EngineConfig::default().with_threads(4);
         let engine = ForkGraphEngine::new(&applied.graph, config);
         let incremental = engine.run_sssp_incremental(&sources, prev, &applied.seed_edges);
         let scratch =

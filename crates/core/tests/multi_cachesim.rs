@@ -32,7 +32,7 @@ use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, Dist, StorageConfig, VertexId};
 use fg_metrics::CacheNumbers;
 use forkgraph_core::kernels::SsspKernel;
-use forkgraph_core::{erase, EngineConfig, ExecutorMode, ForkGraphEngine, SchedulingPolicy};
+use forkgraph_core::{erase, EngineConfig, ForkGraphEngine, SchedulingPolicy};
 
 #[path = "common/khop.rs"]
 mod khop;
@@ -53,7 +53,7 @@ fn setup() -> (PartitionedGraph, Vec<VertexId>) {
 /// serial FIFO schedule.
 fn traced_config() -> EngineConfig {
     EngineConfig::default()
-        .with_executor(ExecutorMode::Serial)
+        .with_threads(1)
         .with_scheduling(SchedulingPolicy::Fifo)
         .with_cache(CacheConfig { capacity_bytes: 256 * 1024, line_bytes: 64, associativity: 16 })
 }
@@ -182,7 +182,7 @@ fn compressed_storage_strictly_reduces_simulated_misses_on_the_mixed_run() {
 #[test]
 fn mixed_run_reports_cache_numbers_under_the_parallel_executor_too() {
     let (pg, sources) = setup();
-    let config = traced_config().with_executor(ExecutorMode::Pool).with_threads(3);
+    let config = traced_config().with_threads(3);
     let engine = ForkGraphEngine::new(&pg, config);
     let sssp = erase(SsspKernel);
     let khop = erase(KHopKernel { k: 8 });

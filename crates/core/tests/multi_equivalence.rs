@@ -1,6 +1,6 @@
 //! Acceptance tests for heterogeneous multi-kernel runs
 //! ([`ForkGraphEngine::run_multi`]): for random mixes of SSSP / BFS /
-//! random-walk / custom k-hop groups — across every executor mode and every
+//! random-walk / custom k-hop groups — serially and on the pool, under every
 //! Table 4A scheduling policy — one shared partition pass produces results
 //! **byte-identical** to running each kernel's cohort through its own
 //! [`ForkGraphEngine::run_dyn`] sweep. PPR participates under its documented
@@ -26,7 +26,7 @@ use forkgraph_core::kernels::{
     BfsKernel, PprKernel, PprState, RandomWalkKernel, RwState, SsspKernel,
 };
 use forkgraph_core::{
-    erase, DynKernel, EngineConfig, ErasedState, ExecutorMode, ForkGraphEngine, SchedulingPolicy,
+    erase, DynKernel, EngineConfig, ErasedState, ForkGraphEngine, SchedulingPolicy,
 };
 
 #[path = "common/khop.rs"]
@@ -91,28 +91,29 @@ fn partitioned(parts: usize, seed: u64) -> PartitionedGraph {
     )
 }
 
-fn engine_config(mode: ExecutorMode, policy: SchedulingPolicy) -> EngineConfig {
-    let threads = if mode == ExecutorMode::Serial { 1 } else { 3 };
-    EngineConfig::default().with_scheduling(policy).with_executor(mode).with_threads(threads)
+/// Worker counts swept: the serial loop and a three-worker pool.
+const THREADS: [usize; 2] = [1, 3];
+
+fn engine_config(threads: usize, policy: SchedulingPolicy) -> EngineConfig {
+    EngineConfig::default().with_scheduling(policy).with_threads(threads)
 }
 
 /// Acceptance criterion: random heterogeneous mixes are byte-identical to
-/// per-kernel `run_dyn` sweeps across Serial/Spawn/Pool × all four policies.
+/// per-kernel `run_dyn` sweeps across serial/pool × all four policies.
 ///
 /// The `run_dyn` oracle per group is computed **once** on a serial engine:
 /// for these confluent kernels `run_dyn` itself is schedule- and
-/// mode-independent (property-tested in `tests/parallel_equivalence.rs` and
+/// thread-count-independent (property-tested in `tests/parallel_equivalence.rs` and
 /// `tests/pool_reuse.rs`), so one oracle stands for every configuration —
-/// which keeps this sweep fast enough for the debug-mode CI matrix. The
+/// which keeps this sweep fast enough for a debug-mode test run. The
 /// serial leg still cross-checks `run_dyn` per policy via the single-group
 /// test below.
 #[test]
-fn random_mixes_match_solo_runs_across_modes_and_policies() {
+fn random_mixes_match_solo_runs_across_thread_counts_and_policies() {
     let pg = partitioned(7, 131);
     let n = pg.graph().num_vertices() as u32;
     let mut rng = SmallRng::seed_from_u64(0xF0CACC1A);
-    let oracle_engine =
-        ForkGraphEngine::new(&pg, engine_config(ExecutorMode::Serial, SchedulingPolicy::Priority));
+    let oracle_engine = ForkGraphEngine::new(&pg, engine_config(1, SchedulingPolicy::Priority));
 
     for round in 0..3 {
         // 2–4 groups, duplicates allowed (two cohorts of the same kernel are
@@ -129,9 +130,9 @@ fn random_mixes_match_solo_runs_across_modes_and_policies() {
         let oracles: Vec<Vec<ErasedState>> =
             mix.iter().map(|(_, k, s)| oracle_engine.run_dyn(&**k, s).per_query).collect();
 
-        for mode in [ExecutorMode::Serial, ExecutorMode::Spawn, ExecutorMode::Pool] {
+        for threads in THREADS {
             for policy in SchedulingPolicy::all() {
-                let engine = ForkGraphEngine::new(&pg, engine_config(mode, policy));
+                let engine = ForkGraphEngine::new(&pg, engine_config(threads, policy));
                 let groups: Vec<(&dyn DynKernel, &[VertexId])> =
                     mix.iter().map(|(_, k, s)| (&**k, &s[..])).collect();
                 let mixed = engine.run_multi(&groups);
@@ -145,7 +146,7 @@ fn random_mixes_match_solo_runs_across_modes_and_policies() {
                             mixed_state,
                             solo_state,
                             &format!(
-                                "round {round} group {g} ({which:?}) query {i} {mode:?} \
+                                "round {round} group {g} ({which:?}) query {i} threads={threads} \
                                  {policy:?}"
                             ),
                         );
@@ -165,27 +166,27 @@ fn single_group_run_multi_is_byte_identical_to_run_dyn() {
     let sources: Vec<VertexId> = vec![0, 9, 42, 311];
     for which in ALL_KERNELS {
         let kernel = which.erased();
-        // Full policy sweep on the cheap serial engine; the parallel modes
-        // pin one policy each (mode coverage is what they add — policy
-        // coverage comes from the serial sweep and the mixed sweep above).
+        // Full policy sweep on the cheap serial engine; the pool runs two
+        // policies (policy coverage comes from the serial sweep and the
+        // mixed sweep above).
         let configs = [
-            (ExecutorMode::Serial, SchedulingPolicy::Priority),
-            (ExecutorMode::Serial, SchedulingPolicy::Fifo),
-            (ExecutorMode::Serial, SchedulingPolicy::MaxOperations),
-            (ExecutorMode::Serial, SchedulingPolicy::Random { seed: 7 }),
-            (ExecutorMode::Spawn, SchedulingPolicy::Priority),
-            (ExecutorMode::Pool, SchedulingPolicy::Fifo),
+            (1, SchedulingPolicy::Priority),
+            (1, SchedulingPolicy::Fifo),
+            (1, SchedulingPolicy::MaxOperations),
+            (1, SchedulingPolicy::Random { seed: 7 }),
+            (3, SchedulingPolicy::Priority),
+            (3, SchedulingPolicy::Fifo),
         ];
-        for (mode, policy) in configs {
+        for (threads, policy) in configs {
             {
-                let engine = ForkGraphEngine::new(&pg, engine_config(mode, policy));
+                let engine = ForkGraphEngine::new(&pg, engine_config(threads, policy));
                 let multi = engine.run_multi(&[(&*kernel, &sources[..])]);
                 let solo = engine.run_dyn(&*kernel, &sources);
                 for (i, (a, b)) in multi.per_group[0].iter().zip(&solo.per_query).enumerate() {
                     which.assert_states_eq(
                         a,
                         b,
-                        &format!("{which:?} query {i} {mode:?} {policy:?}"),
+                        &format!("{which:?} query {i} threads={threads} {policy:?}"),
                     );
                 }
             }
@@ -202,8 +203,7 @@ fn ppr_single_group_serial_is_byte_identical() {
     let config = PprConfig { epsilon: 1e-4, ..Default::default() };
     let ppr = erase(PprKernel::new(config));
     let seeds: Vec<VertexId> = vec![3, 42, 200];
-    let engine =
-        ForkGraphEngine::new(&pg, engine_config(ExecutorMode::Serial, SchedulingPolicy::Priority));
+    let engine = ForkGraphEngine::new(&pg, engine_config(1, SchedulingPolicy::Priority));
     let multi = engine.run_multi(&[(&*ppr, &seeds[..])]);
     let solo = engine.run_dyn(&*ppr, &seeds);
     for (a, b) in multi.per_group[0].iter().zip(&solo.per_query) {
@@ -214,7 +214,7 @@ fn ppr_single_group_serial_is_byte_identical() {
     }
 }
 
-/// PPR mixed with other kernels (and run under every executor mode) keeps
+/// PPR mixed with other kernels (serially and on the pool) keeps
 /// the approximation contract: unit total mass and bounded L1 distance to
 /// the sequential forward-push reference.
 #[test]
@@ -227,17 +227,17 @@ fn mixed_ppr_keeps_its_approximation_contract() {
     let seeds: Vec<VertexId> = vec![3, 42];
     let sssp_sources: Vec<VertexId> = vec![0, 17, 99];
 
-    for mode in [ExecutorMode::Serial, ExecutorMode::Spawn, ExecutorMode::Pool] {
-        let engine = ForkGraphEngine::new(&pg, engine_config(mode, SchedulingPolicy::Priority));
+    for threads in THREADS {
+        let engine = ForkGraphEngine::new(&pg, engine_config(threads, SchedulingPolicy::Priority));
         let mixed = engine.run_multi(&[(&*ppr, &seeds[..]), (&*sssp, &sssp_sources[..])]);
 
         for (state, &seed) in mixed.per_group[0].iter().zip(seeds.iter()) {
             let state = state.downcast_ref::<PprState>().unwrap();
-            assert!((state.total_mass() - 1.0).abs() < 1e-9, "{mode:?} seed {seed}");
+            assert!((state.total_mass() - 1.0).abs() < 1e-9, "threads={threads} seed {seed}");
             let reference = fg_seq::ppr::ppr_push(g, seed, &config).dense(g.num_vertices());
             let l1: f64 =
                 state.estimate.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).sum();
-            assert!(l1 < 0.08, "{mode:?} seed {seed}: l1 {l1}");
+            assert!(l1 < 0.08, "threads={threads} seed {seed}: l1 {l1}");
         }
         // The monotone co-tenant is still exact.
         let solo = engine.run_dyn(&*sssp, &sssp_sources);
@@ -245,7 +245,7 @@ fn mixed_ppr_keeps_its_approximation_contract() {
             assert_eq!(
                 a.downcast_ref::<Vec<Dist>>().unwrap(),
                 b.downcast_ref::<Vec<Dist>>().unwrap(),
-                "{mode:?}"
+                "threads={threads}"
             );
         }
     }

@@ -4,7 +4,7 @@
 //! **byte-identical** whether a partition's adjacency is stored raw (CSR
 //! slices), compressed (delta/varint payloads decoded on visit), or chosen
 //! adaptively per partition — for SSSP, BFS, and heterogeneous `run_multi`
-//! batches, across executor modes, and across dynamic-graph mutation batches
+//! batches, serially and on the pool, and across dynamic-graph mutation batches
 //! with epoch advances (dirty-partition re-encodes included). The storage
 //! policy itself must survive epoch re-materialisation: a store built
 //! compressed stays compressed after a fold.
@@ -28,12 +28,12 @@ use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, Dist, GraphBuilder, StorageConfig, VertexId};
 use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::kernels::{BfsKernel, RandomWalkKernel, RwState, SsspKernel};
-use forkgraph_core::{erase, EngineConfig, ErasedState, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{erase, EngineConfig, ErasedState, ForkGraphEngine};
 
 const CASES: u64 = 5;
 
-/// `(mode, workers)` pairs: the serial loop plus the persistent pool.
-const EXECUTORS: [(ExecutorMode, usize); 2] = [(ExecutorMode::Serial, 1), (ExecutorMode::Pool, 4)];
+/// Worker counts swept: the serial loop plus a four-worker pool.
+const THREADS: [usize; 2] = [1, 4];
 
 /// Adaptive threshold giving a raw/compressed mix on the generated graphs.
 const ADAPTIVE_MIN_BYTES: usize = 800;
@@ -103,8 +103,8 @@ fn sssp_and_bfs_are_byte_identical_across_storage_modes_and_executors() {
         assert_eq!(compressed.compressed_partitions(), compressed.num_partitions());
         assert_eq!(raw.compressed_partitions(), 0);
 
-        for (mode, workers) in EXECUTORS {
-            let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+        for workers in THREADS {
+            let config = EngineConfig::default().with_threads(workers);
             let baseline_sssp = ForkGraphEngine::new(&raw, config).run_sssp(&sources).per_query;
             let baseline_bfs = ForkGraphEngine::new(&raw, config).run_bfs(&sources).per_query;
             for (label, pg) in [("compressed", &compressed), ("adaptive", &adaptive)] {
@@ -112,12 +112,12 @@ fn sssp_and_bfs_are_byte_identical_across_storage_modes_and_executors() {
                 assert_eq!(
                     engine.run_sssp(&sources).per_query,
                     baseline_sssp,
-                    "case {case} {label} sssp {mode:?}×{workers}"
+                    "case {case} {label} sssp threads={workers}"
                 );
                 assert_eq!(
                     engine.run_bfs(&sources).per_query,
                     baseline_bfs,
-                    "case {case} {label} bfs {mode:?}×{workers}"
+                    "case {case} {label} bfs threads={workers}"
                 );
             }
             // The shared fixpoint is the true one.
@@ -194,6 +194,8 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
         let graph = arb_graph(&mut rng);
         let sources = arb_sources(&mut rng, graph.num_vertices(), 4);
         let [raw, compressed, adaptive] = storage_triple(&mut rng, graph);
+        let sssp = erase(SsspKernel);
+        let bfs = erase(BfsKernel);
 
         let versioned: Vec<VersionedGraph> = [&raw, &compressed, &adaptive]
             .into_iter()
@@ -209,7 +211,7 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
                 .map(|vg| {
                     let mut batch_rng = SmallRng::seed_from_u64(batch_seed);
                     log_mixed_batch(&mut batch_rng, vg);
-                    vg.quiesce().expect("batch logged").graph
+                    vg.advance().expect("batch logged").graph
                 })
                 .collect();
 
@@ -222,20 +224,39 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
             );
             assert_eq!(snapshots[0].compressed_partitions(), 0);
 
-            let baseline =
-                ForkGraphEngine::new(&snapshots[0], EngineConfig::default()).run_sssp(&sources);
-            for (label, pg) in [("compressed", &snapshots[1]), ("adaptive", &snapshots[2])] {
-                let got = ForkGraphEngine::new(pg, EngineConfig::default()).run_sssp(&sources);
-                assert_eq!(
-                    got.per_query, baseline.per_query,
-                    "case {case} round {round} {label}: post-mutation results diverged"
-                );
+            // Every store, serially and on the pool, single-kernel and
+            // through a shared SSSP+BFS `run_multi` pass, must reproduce the
+            // sequential oracles on this snapshot's graph, query by query.
+            let graph = snapshots[0].graph();
+            let sssp_oracle: Vec<Vec<Dist>> =
+                sources.iter().map(|&s| fg_seq::dijkstra::dijkstra(graph, s).dist).collect();
+            let bfs_oracle: Vec<Vec<u32>> =
+                sources.iter().map(|&s| fg_seq::bfs::bfs(graph, s).level).collect();
+            for (label, pg) in ["raw", "compressed", "adaptive"].into_iter().zip(&snapshots) {
+                for workers in THREADS {
+                    let context = format!("case {case} round {round} {label} threads={workers}");
+                    let engine =
+                        ForkGraphEngine::new(pg, EngineConfig::default().with_threads(workers));
+                    assert_eq!(engine.run_sssp(&sources).per_query, sssp_oracle, "{context}");
+
+                    let multi = engine.run_multi(&[
+                        (sssp.as_ref(), sources.as_slice()),
+                        (bfs.as_ref(), sources.as_slice()),
+                    ]);
+                    for (q, (state, oracle)) in
+                        multi.per_group[0].iter().zip(&sssp_oracle).enumerate()
+                    {
+                        let got = state.downcast_ref::<Vec<Dist>>().unwrap();
+                        assert_eq!(got, oracle, "{context} run_multi sssp query {q}");
+                    }
+                    for (q, (state, oracle)) in
+                        multi.per_group[1].iter().zip(&bfs_oracle).enumerate()
+                    {
+                        let got = state.downcast_ref::<Vec<u32>>().unwrap();
+                        assert_eq!(got, oracle, "{context} run_multi bfs query {q}");
+                    }
+                }
             }
-            assert_eq!(
-                baseline.per_query[0],
-                fg_seq::dijkstra::dijkstra(snapshots[0].graph(), sources[0]).dist,
-                "case {case} round {round}: post-mutation raw run disagrees with Dijkstra"
-            );
         }
     }
 }

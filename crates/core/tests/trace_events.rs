@@ -1,15 +1,12 @@
 //! Trace-correctness tests: the event stream must agree with the
 //! scheduler's and the metrics layer's ground truth, not merely exist.
-//!
-//! Executor modes are pinned per test (never the `FORKGRAPH_EXECUTOR` env
-//! default) so each assertion holds on every leg of the CI matrix.
 
 use std::sync::Arc;
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_trace::{EventKind, TraceEvent, TraceSink};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 fn partitioned(parts: usize) -> PartitionedGraph {
     let g = fg_graph::gen::rmat(10, 6, 2024).with_random_weights(9, 2024);
@@ -28,7 +25,7 @@ fn visit_order(events: &[TraceEvent]) -> Vec<u32> {
 fn serial_event_stream_reconstructs_the_exact_visit_order() {
     let pg = partitioned(8);
     let sources: Vec<u32> = vec![0, 13, 200, 777];
-    let config = EngineConfig::default().with_threads(1).with_executor(ExecutorMode::Serial);
+    let config = EngineConfig::default().with_threads(1);
 
     let run = |sink: &Arc<TraceSink>| {
         let engine = ForkGraphEngine::new(&pg, config).with_trace_sink(Arc::clone(sink));
@@ -85,7 +82,7 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
     let pg = partitioned(8);
     let sources: Vec<u32> = vec![0, 5, 9, 100, 321, 700];
     let sink = TraceSink::new();
-    let config = EngineConfig::default().with_threads(3).with_executor(ExecutorMode::Pool);
+    let config = EngineConfig::default().with_threads(3);
     let engine = ForkGraphEngine::new(&pg, config).with_trace_sink(Arc::clone(&sink));
     let result = engine.run_bfs(&sources);
     let work = result.work();
@@ -150,27 +147,26 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
     let pg = partitioned(6);
     let sources: Vec<u32> = vec![0, 42, 999];
 
-    for mode in [ExecutorMode::Serial, ExecutorMode::Pool] {
-        let threads = if mode == ExecutorMode::Serial { 1 } else { 3 };
-        let base = EngineConfig::default().with_threads(threads).with_executor(mode);
+    for threads in [1, 3] {
+        let base = EngineConfig::default().with_threads(threads);
 
         let off = ForkGraphEngine::new(&pg, base).run_sssp(&sources);
-        assert!(off.profile.is_none(), "{mode:?}: no profile unless requested");
+        assert!(off.profile.is_none(), "threads={threads}: no profile unless requested");
 
         // No sink attached: profiles come from counters alone.
         let on = ForkGraphEngine::new(&pg, base.with_profile(true)).run_sssp(&sources);
         let profile = on.profile.as_ref().expect("profile requested");
         let work = on.work();
-        assert_eq!(profile.partition_visits, work.partition_visits, "{mode:?}");
-        assert_eq!(profile.visit_ops.count(), work.partition_visits, "{mode:?}");
-        assert_eq!(profile.steals, work.steals, "{mode:?}");
-        assert_eq!(profile.yields, work.yields, "{mode:?}");
-        assert_eq!(profile.workers as usize, if threads == 1 { 1 } else { threads }, "{mode:?}");
+        assert_eq!(profile.partition_visits, work.partition_visits, "threads={threads}");
+        assert_eq!(profile.visit_ops.count(), work.partition_visits, "threads={threads}");
+        assert_eq!(profile.steals, work.steals, "threads={threads}");
+        assert_eq!(profile.yields, work.yields, "threads={threads}");
+        assert_eq!(profile.workers as usize, threads, "threads={threads}");
         assert!(
             profile.phases.total() <= on.measurement.wall_time,
-            "{mode:?}: phases partition the measured wall time"
+            "threads={threads}: phases partition the measured wall time"
         );
-        if mode == ExecutorMode::Pool {
+        if threads > 1 {
             assert_eq!(
                 profile.steals_per_worker.count(),
                 work.workers.len() as u64,
@@ -179,7 +175,7 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
             assert_eq!(profile.steals_per_worker.sum(), work.steals);
         }
         // Profiles must not change results.
-        assert_eq!(off.per_query, on.per_query, "{mode:?}");
+        assert_eq!(off.per_query, on.per_query, "threads={threads}");
     }
 }
 
@@ -187,10 +183,7 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
 fn multi_kernel_runs_carry_profiles_and_group_visit_events() {
     let pg = partitioned(6);
     let sink = TraceSink::new();
-    let config = EngineConfig::default()
-        .with_threads(1)
-        .with_executor(ExecutorMode::Serial)
-        .with_profile(true);
+    let config = EngineConfig::default().with_threads(1).with_profile(true);
     let engine = ForkGraphEngine::new(&pg, config).with_trace_sink(Arc::clone(&sink));
 
     let sssp = forkgraph_core::erase(forkgraph_core::kernels::SsspKernel);

@@ -18,7 +18,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::payload::StorageConfig;
 use crate::{CsrGraph, VertexId};
@@ -27,7 +26,7 @@ use crate::{CsrGraph, VertexId};
 pub type PartitionId = u32;
 
 /// The partitioning algorithm to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionMethod {
     /// Uniform random assignment (used by the paper for large social graphs).
     Random,
@@ -66,7 +65,7 @@ impl PartitionMethod {
 }
 
 /// How many partitions to produce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionTarget {
     /// Produce exactly this many partitions.
     NumPartitions(usize),
@@ -77,7 +76,7 @@ pub enum PartitionTarget {
 
 /// Configuration handed to [`PartitionPlan::compute`] /
 /// [`crate::partitioned::PartitionedGraph::build`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionConfig {
     /// Partitioning algorithm.
     pub method: PartitionMethod,
@@ -87,7 +86,6 @@ pub struct PartitionConfig {
     pub seed: u64,
     /// Per-partition payload storage policy (raw, compressed, or adaptive by
     /// footprint). Defaults to [`StorageConfig::Raw`].
-    #[serde(default)]
     pub storage: StorageConfig,
 }
 
@@ -418,20 +416,29 @@ fn coarsen(g: &CoarseGraph, rng: &mut SmallRng) -> CoarseGraph {
         vertex_weight[fine_to_coarse[u] as usize] += g.vertex_weight[u];
     }
 
-    // Aggregate edges between coarse vertices.
-    let mut edge_maps: Vec<std::collections::HashMap<u32, u64>> =
-        vec![std::collections::HashMap::new(); cn];
+    // Aggregate edges between coarse vertices: gather, sort by target, and
+    // merge parallel edges, so the coarse adjacency order (and with it the
+    // next matching) is a pure function of the input and the seed.
+    let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); cn];
     for u in 0..n {
         let cu = fine_to_coarse[u];
         for &(v, w) in &g.adj[u] {
             let cv = fine_to_coarse[v as usize];
             if cu != cv {
-                *edge_maps[cu as usize].entry(cv).or_insert(0) += w;
+                adj[cu as usize].push((cv, w));
             }
         }
     }
-    let adj: Vec<Vec<(u32, u64)>> =
-        edge_maps.into_iter().map(|m| m.into_iter().collect()).collect();
+    for edges in &mut adj {
+        edges.sort_unstable_by_key(|&(cv, _)| cv);
+        edges.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+    }
     CoarseGraph { adj, vertex_weight, fine_to_coarse }
 }
 
@@ -496,23 +503,32 @@ fn refine(g: &CoarseGraph, assignment: &mut [PartitionId], k: usize) {
     for v in 0..n {
         loads[assignment[v] as usize] += g.vertex_weight[v];
     }
+    // Edge weight towards each partition, and the partitions it is nonzero
+    // for (edge weights are >= 1), reset after every vertex.
+    let mut towards = vec![0u64; k];
+    let mut touched: Vec<PartitionId> = Vec::new();
     for _pass in 0..2 {
         let mut moved = 0usize;
         for u in 0..n {
             let pu = assignment[u];
-            if g.adj[u].is_empty() {
-                continue;
-            }
-            // Edge weight towards each neighbouring partition.
-            let mut towards: std::collections::HashMap<PartitionId, u64> =
-                std::collections::HashMap::new();
             for &(v, w) in &g.adj[u] {
-                *towards.entry(assignment[v as usize]).or_insert(0) += w;
+                let p = assignment[v as usize];
+                if towards[p as usize] == 0 {
+                    touched.push(p);
+                }
+                towards[p as usize] += w;
             }
-            let internal = towards.get(&pu).copied().unwrap_or(0);
-            if let Some((&best_p, &best_w)) =
-                towards.iter().filter(|&(&p, _)| p != pu).max_by_key(|&(_, &w)| w)
-            {
+            let internal = towards[pu as usize];
+            // Heaviest other partition; ties go to the lowest partition id.
+            let best = touched
+                .iter()
+                .filter(|&&p| p != pu)
+                .map(|&p| (towards[p as usize], p))
+                .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+            for p in touched.drain(..) {
+                towards[p as usize] = 0;
+            }
+            if let Some((best_w, best_p)) = best {
                 let vw = g.vertex_weight[u];
                 if best_w > internal && loads[best_p as usize] + vw <= cap {
                     loads[pu as usize] -= vw;
@@ -634,6 +650,16 @@ mod tests {
         assert_eq!(PartitionPlan::compute(&g, &c), PartitionPlan::compute(&g, &c));
         let h = PartitionConfig::with_partitions(PartitionMethod::Hash, 4);
         assert_eq!(PartitionPlan::compute(&g, &h), PartitionPlan::compute(&g, &h));
+    }
+
+    #[test]
+    fn multilevel_is_deterministic_given_seed() {
+        let g = gen::rmat(11, 8, 5);
+        let c = PartitionConfig::with_partitions(PartitionMethod::Multilevel, 16).with_seed(9);
+        let first = PartitionPlan::compute(&g, &c);
+        for _ in 0..3 {
+            assert_eq!(PartitionPlan::compute(&g, &c), first);
+        }
     }
 
     #[test]

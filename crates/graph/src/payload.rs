@@ -28,13 +28,11 @@
 //! existed) or stream-decode the varint bytes in place (compressed
 //! partitions).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CsrGraph, Edge, VertexId, Weight};
 
 /// Per-partition storage policy, carried by
 /// [`crate::partition::PartitionConfig`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageConfig {
     /// Keep every partition's edges as raw triples (the pre-compression
     /// representation; zero decode cost).

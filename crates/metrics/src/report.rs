@@ -1,10 +1,8 @@
 //! Minimal table formatting for the experiment reports emitted by the
 //! reproduction harness (`fg-bench`'s `repro` binary).
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular table rendered to GitHub-flavoured Markdown.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Table {
     /// Table title (rendered as a heading).
     pub title: String,

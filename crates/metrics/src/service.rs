@@ -15,8 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of latency samples retained; beyond this the recorder
 /// overwrites pseudo-randomly (bounded-memory reservoir).
 const LATENCY_RESERVOIR: usize = 4096;
@@ -28,7 +26,7 @@ const BATCH_RECORD_RING: usize = 1024;
 /// carried and how many engine workers the adaptive policy chose for it.
 /// Retained in a bounded ring so tests (and operators) can audit that the
 /// sizing policy was actually applied per batch, not just on average.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchRecord {
     /// Queries consolidated into the batch.
     pub batch_size: u32,
@@ -269,7 +267,7 @@ impl ServiceCounters {
 }
 
 /// Immutable snapshot of [`ServiceCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     pub submitted: u64,
     pub admitted: u64,

@@ -36,7 +36,7 @@ use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, TraceSink};
-use forkgraph_core::{EngineConfig, ErasedState, ExecutorMode, ForkGraphEngine, WorkerPool};
+use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, WorkerPool};
 
 use crate::adaptive;
 use crate::lru::LruCache;
@@ -601,19 +601,16 @@ impl ForkGraphService {
             trace,
         });
         let max_workers = engine_config.resolved_threads();
-        let pool = (max_workers > 1
-            && graph.num_partitions() > 1
-            && engine_config.resolved_executor() == ExecutorMode::Pool)
-            .then(|| {
-                let pool = Arc::new(WorkerPool::new(forkgraph_core::pool::crew_size(
-                    max_workers,
-                    graph.num_partitions(),
-                )));
-                if let Some(trace) = &shared.trace {
-                    pool.attach_trace(Arc::clone(trace));
-                }
-                pool
-            });
+        let pool = (max_workers > 1 && graph.num_partitions() > 1).then(|| {
+            let pool = Arc::new(WorkerPool::new(forkgraph_core::pool::crew_size(
+                max_workers,
+                graph.num_partitions(),
+            )));
+            if let Some(trace) = &shared.trace {
+                pool.attach_trace(Arc::clone(trace));
+            }
+            pool
+        });
         let worker_shared = Arc::clone(&shared);
         let worker_pool = pool.clone();
         let worker = std::thread::Builder::new()

@@ -21,7 +21,7 @@ use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_service::adaptive::effective_workers;
 use fg_service::{ForkGraphService, QuerySpec, ServiceConfig, ServiceError};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const WORKER_CAP: usize = 8;
 const PARTITIONS: usize = 16;
@@ -51,9 +51,8 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
     let n = pg.graph().num_vertices() as u32;
     let service = ForkGraphService::start(
         Arc::clone(&pg),
-        // Pin pool mode so the test is identical across the CI executor
-        // matrix; the cap (not the per-batch count) is what we configure.
-        EngineConfig::default().with_threads(WORKER_CAP).with_executor(ExecutorMode::Pool),
+        // The cap (not the per-batch count) is what we configure.
+        EngineConfig::default().with_threads(WORKER_CAP),
         ServiceConfig {
             batch_window: Duration::from_millis(2),
             max_batch_size: 64,
@@ -167,7 +166,7 @@ fn shutdown_with_inflight_dispatched_runs_neither_deadlocks_nor_leaks_threads() 
         let n = pg.graph().num_vertices() as u32;
         let service = ForkGraphService::start(
             Arc::clone(&pg),
-            EngineConfig::default().with_threads(WORKER_CAP).with_executor(ExecutorMode::Pool),
+            EngineConfig::default().with_threads(WORKER_CAP),
             ServiceConfig {
                 batch_window: Duration::from_millis(1),
                 max_batch_size: 64,

@@ -2,9 +2,9 @@
 //!
 //! 1. The four built-in kernels produce **byte-identical** results through
 //!    the new registry path (erased dispatch, `Query` builder, enum shim)
-//!    versus the pre-redesign direct engine path, in serial, spawn, and
-//!    pool executor modes. (PPR is the documented exception in *parallel*
-//!    modes: lazy forward-push is non-confluent even serially across
+//!    versus the pre-redesign direct engine path, on the serial loop and on
+//!    the worker pool. (PPR is the documented exception in *parallel*
+//!    runs: lazy forward-push is non-confluent even serially across
 //!    schedules, so there the contract is mass conservation + epsilon-scaled
 //!    L1 closeness, exactly as in `parallel_equivalence.rs`.)
 //! 2. A kernel defined **only in this test file** — not in any workspace
@@ -25,7 +25,7 @@ use fg_service::{
 };
 use forkgraph_core::kernel::FppKernel;
 use forkgraph_core::operation::Priority;
-use forkgraph_core::{erase, EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{erase, EngineConfig, ForkGraphEngine};
 
 fn shared_graph(seed: u64, partitions: usize) -> (CsrGraph, Arc<PartitionedGraph>) {
     let g = gen::erdos_renyi(300, 2200, seed).with_random_weights(8, seed);
@@ -36,11 +36,11 @@ fn shared_graph(seed: u64, partitions: usize) -> (CsrGraph, Arc<PartitionedGraph
     (g, pg)
 }
 
-/// Service-vs-direct equivalence of all four built-ins under one executor
-/// mode, driving both the enum shim and the builder API.
-fn builtin_equivalence_under(mode: ExecutorMode) {
+/// Service-vs-direct equivalence of all four built-ins with `threads`
+/// engine workers, driving both the enum shim and the builder API.
+fn builtin_equivalence_under(threads: usize) {
     let (_, pg) = shared_graph(211, 6);
-    let engine_config = EngineConfig::default().with_threads(4).with_executor(mode);
+    let engine_config = EngineConfig::default().with_threads(threads);
     let service = ForkGraphService::start(
         Arc::clone(&pg),
         engine_config,
@@ -61,10 +61,14 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
         let via_enum = handle.query(QuerySpec::Sssp { source }).unwrap();
         let via_builder = handle.run_query(Query::kernel("sssp").source(source)).unwrap();
         let oracle = direct.run_sssp(&[source]);
-        assert_eq!(via_enum.try_sssp().unwrap(), &oracle.per_query[0], "{mode:?} sssp {source}");
+        assert_eq!(
+            via_enum.try_sssp().unwrap(),
+            &oracle.per_query[0],
+            "threads={threads} sssp {source}"
+        );
         assert!(
             Arc::ptr_eq(&via_enum, &via_builder),
-            "{mode:?}: builder query must hit the enum query's cache entry"
+            "threads={threads}: builder query must hit the enum query's cache entry"
         );
 
         // BFS.
@@ -72,28 +76,28 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
         assert_eq!(
             bfs.try_bfs().unwrap(),
             &direct.run_bfs(&[source]).per_query[0],
-            "{mode:?} bfs {source}"
+            "threads={threads} bfs {source}"
         );
 
         // Random walks: deterministic seeds and purely additive visit
         // counts make the kernel confluent, so results are byte-identical
-        // in every mode.
+        // serially and on the pool.
         let rw = handle.submit_random_walk(source, rw_config).unwrap().wait().unwrap();
         assert_eq!(
             rw.try_random_walk().unwrap(),
             &direct.run_random_walks(&[source], &rw_config).per_query[0],
-            "{mode:?} random_walk {source}"
+            "threads={threads} random_walk {source}"
         );
 
-        // PPR: byte-identical only under the serial executor (one
-        // deterministic schedule on both sides); in parallel modes the
+        // PPR: byte-identical only under the serial loop (one
+        // deterministic schedule on both sides); in parallel runs the
         // kernel itself is non-confluent, so assert the ACL contract.
         let ppr = handle.submit_ppr(source, ppr_config).unwrap().wait().unwrap();
         let ppr_state = ppr.try_ppr().unwrap();
         let oracle_ppr = &direct.run_ppr(&[source], &ppr_config).per_query[0];
-        assert!((ppr_state.total_mass() - 1.0).abs() < 1e-9, "{mode:?} ppr {source}");
-        if mode == ExecutorMode::Serial {
-            assert_eq!(ppr_state, oracle_ppr, "{mode:?} ppr {source}");
+        assert!((ppr_state.total_mass() - 1.0).abs() < 1e-9, "threads={threads} ppr {source}");
+        if threads == 1 {
+            assert_eq!(ppr_state, oracle_ppr, "threads={threads} ppr {source}");
         } else {
             let l1: f64 = ppr_state
                 .estimate
@@ -101,7 +105,7 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
                 .zip(oracle_ppr.estimate.iter())
                 .map(|(a, b)| (a - b).abs())
                 .sum();
-            assert!(l1 < 0.05, "{mode:?} ppr {source}: l1 {l1}");
+            assert!(l1 < 0.05, "threads={threads} ppr {source}: l1 {l1}");
         }
     }
     service.shutdown();
@@ -109,17 +113,12 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
 
 #[test]
 fn builtins_are_equivalent_through_the_registry_serial() {
-    builtin_equivalence_under(ExecutorMode::Serial);
-}
-
-#[test]
-fn builtins_are_equivalent_through_the_registry_spawn() {
-    builtin_equivalence_under(ExecutorMode::Spawn);
+    builtin_equivalence_under(1);
 }
 
 #[test]
 fn builtins_are_equivalent_through_the_registry_pool() {
-    builtin_equivalence_under(ExecutorMode::Pool);
+    builtin_equivalence_under(4);
 }
 
 #[test]
@@ -251,9 +250,8 @@ fn khop_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> 
 #[test]
 fn custom_kernel_runs_through_batching_pool_and_cache() {
     let (g, pg) = shared_graph(227, 6);
-    // Pool mode pinned: this test *requires* the persistent WorkerPool, so
-    // it must hold on the serial and spawn legs of the CI matrix too.
-    let engine_config = EngineConfig::default().with_threads(4).with_executor(ExecutorMode::Pool);
+    // Four workers: this test *requires* the persistent WorkerPool.
+    let engine_config = EngineConfig::default().with_threads(4);
     let service = ForkGraphService::start(
         Arc::clone(&pg),
         engine_config,
@@ -310,7 +308,7 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
         metrics.max_batch_occupancy
     );
     // …ran on the shared persistent pool with an adaptively sized crew…
-    let pool = service.pool_metrics().expect("pool-mode service has a pool");
+    let pool = service.pool_metrics().expect("a four-worker service has a pool");
     assert!(pool.dispatches >= 1, "custom kernel batches dispatched onto the WorkerPool");
     let records = service.batch_records();
     assert!(
@@ -335,23 +333,14 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
 }
 
 #[test]
-fn custom_kernel_is_byte_identical_across_modes_at_engine_level() {
+fn custom_kernel_is_byte_identical_serial_and_pooled_at_engine_level() {
     let (_, pg) = shared_graph(229, 8);
     let kernel = erase(KHopKernel { k: 3 });
     let sources = [2u32, 90, 250];
-    let serial =
-        ForkGraphEngine::new(&pg, EngineConfig::default().with_executor(ExecutorMode::Serial))
-            .run_dyn(&*kernel, &sources);
-    for mode in [ExecutorMode::Spawn, ExecutorMode::Pool] {
-        let parallel =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4).with_executor(mode))
-                .run_dyn(&*kernel, &sources);
-        for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
-            assert_eq!(
-                a.downcast_ref::<Vec<Dist>>().unwrap(),
-                b.downcast_ref::<Vec<Dist>>().unwrap(),
-                "{mode:?}"
-            );
-        }
+    let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
+    let parallel = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4))
+        .run_dyn(&*kernel, &sources);
+    for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
+        assert_eq!(a.downcast_ref::<Vec<Dist>>().unwrap(), b.downcast_ref::<Vec<Dist>>().unwrap());
     }
 }

@@ -44,7 +44,7 @@ fn main() {
     let sink = TraceSink::new();
     let service = ForkGraphService::start_traced(
         Arc::clone(&partitioned),
-        EngineConfig::default().with_threads(4).with_executor(ExecutorMode::Pool),
+        EngineConfig::default().with_threads(4),
         forkgraph::service::ServiceConfig {
             batch_window: Duration::from_millis(2),
             max_batch_size: 64,

@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use fg_trace::{EventKind, RunProfile, TraceSink};
     pub use forkgraph_core::dynkernel::{erase, DynKernel};
-    pub use forkgraph_core::engine::{EngineConfig, ExecutorMode, ForkGraphEngine};
+    pub use forkgraph_core::engine::{EngineConfig, ForkGraphEngine};
     pub use forkgraph_core::pool::WorkerPool;
     pub use forkgraph_core::sched::SchedulingPolicy;
     pub use forkgraph_core::yield_policy::YieldPolicy;
